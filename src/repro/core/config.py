@@ -47,10 +47,6 @@ class SystemConfig:
     link_bytes_per_cycle: Optional[int] = 16
     ordered_network: bool = False
     network_jitter: int = 2
-    #: Jitter PRNG: "mt" draws the historical per-interconnect Mersenne
-    #: Twister sequence; "xorshift" uses cheaper per-(src, dst) xorshift64*
-    #: streams (a different, still deterministic, timing sequence).
-    network_jitter_source: str = "mt"
     #: Model per-link occupancy along the XY route (wormhole contention)
     #: instead of only per-node injection bandwidth.
     link_contention: bool = False
@@ -133,11 +129,6 @@ class SystemConfig:
             raise ValueError("line size must be a multiple of word size")
         if self.retention_threshold < 1:
             raise ValueError("retention threshold must be >= 1")
-        if self.network_jitter_source not in ("mt", "xorshift"):
-            raise ValueError(
-                "network_jitter_source must be 'mt' or 'xorshift', "
-                f"got {self.network_jitter_source!r}"
-            )
         if self.sharer_group_size < 1:
             raise ValueError("sharer group size must be >= 1")
         for name in (

@@ -173,7 +173,6 @@ class ScalableTCCSystem:
             jitter=config.network_jitter,
             seed=config.seed,
             link_contention=config.link_contention,
-            jitter_source=config.network_jitter_source,
         )
         if config.first_touch:
             self.mapping = FirstTouchMapping(

@@ -1,8 +1,8 @@
 """The Scalable TCC directory controller.
 
 One controller per node, serving the node's slice of physical memory.
-All protocol messages for the slice funnel through a single FIFO serve
-loop (modelling directory-cache occupancy, 10 cycles per message); memory
+All protocol messages for the slice funnel through a single FIFO
+server (modelling directory-cache occupancy, 10 cycles per message); memory
 reads for load fills are overlapped — the controller snapshots state and
 schedules the reply ``memory_latency`` cycles later without blocking.
 
@@ -25,9 +25,9 @@ Responsibilities (Sections 2.2 and 3 of the paper):
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.messages import (
@@ -55,7 +55,7 @@ from repro.directory.state import DirectoryState
 from repro.memory.address import AddressMap
 from repro.memory.mainmem import MainMemory
 from repro.network.interconnect import Interconnect
-from repro.sim import Engine, Process, Store, Timeout
+from repro.sim import Engine
 
 
 class ProtocolError(RuntimeError):
@@ -155,7 +155,10 @@ class DirectoryController:
         self.state = DirectoryState()
         self.stats = DirectoryStats()
 
-        self._queue: Store = Store(engine, name=f"dir{node}.queue")
+        # FIFO server state: the queue and the message in service.
+        self._inbox: deque[Any] = deque()
+        self._busy = False
+        self._msg: Any = None
         self._pending_probes: List[ProbeRequest] = []
         self._stalled_loads: Dict[int, List[LoadRequest]] = defaultdict(list)
         self._pending_forwards: Dict[int, List[LoadRequest]] = defaultdict(list)
@@ -197,26 +200,46 @@ class DirectoryController:
         #: ``config.event_log`` is enabled).
         self.event_log = None
 
-        self.process = Process(engine, self._serve(), name=f"dir{node}")
+        self._dispatch = self._serve()
 
     # ------------------------------------------------------------------
     # ingress
     # ------------------------------------------------------------------
 
     def deliver(self, msg: Any) -> None:
-        """Entry point: the node router drops directory messages here."""
-        self._queue.put(msg)
+        """Entry point: the node router drops directory messages here.
+
+        The directory is a single FIFO server: a message that arrives
+        while it is busy waits in the inbox.
+        """
+        if self._busy:
+            self._inbox.append(msg)
+        else:
+            self._busy = True
+            self.engine.schedule_call(0, self._begin, msg)
 
     @property
     def nstid(self) -> int:
         return self.skipvec.nstid
 
     # ------------------------------------------------------------------
-    # serve loop
+    # FIFO server
     # ------------------------------------------------------------------
 
-    def _serve(self):
-        dispatch = {
+    def _serve(self) -> Dict[type, Any]:
+        """The FIFO server's dispatch table: message type -> handler.
+
+        The engine serves a message in up to three steps: :meth:`_begin`
+        waits out an active ``dir_stall`` window, :meth:`_occupy` holds
+        the directory for ``directory_latency`` plus the directory-cache
+        penalty, and :meth:`_handle` runs the handler and starts the next
+        queued message.  Each timed wait ends with one zero-delay
+        :meth:`_hop`, and each service starts one hop after ``deliver``
+        or the previous handler.  Those are the points where the
+        generator loop this server replaced woke up, so same-cycle ties
+        keep their order and every pinned fingerprint holds.
+        """
+        return {
             LoadRequest: self._handle_load,
             SkipMsg: self._handle_skip,
             ProbeRequest: self._handle_probe,
@@ -227,24 +250,40 @@ class DirectoryController:
             WriteBackMsg: self._handle_writeback,
             TokenWrite: self._handle_token_write,
         }
-        latency = self.config.directory_latency
-        while True:
-            msg = yield self._queue.get()
-            injector = self.fault_injector
-            if injector is not None and injector.has_dir_stalls:
-                pause = injector.dir_stall_pause(self.node, self.engine.now)
-                if pause:
-                    # Node fault: the controller goes dark until the
-                    # window ends; queued messages wait it out.
-                    yield Timeout(self.engine, pause)
-            service = latency + self._dir_cache_penalty(msg)
-            if service:
-                yield Timeout(self.engine, service)
-                self.stats.busy_cycles += service
-            handler = dispatch.get(type(msg))
-            if handler is None:
-                raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
-            handler(msg)
+
+    def _begin(self, msg: Any) -> None:
+        self._msg = msg
+        injector = self.fault_injector
+        if injector is not None and injector.has_dir_stalls:
+            pause = injector.dir_stall_pause(self.node, self.engine.now)
+            if pause:
+                # Node fault: the controller goes dark until the
+                # window ends; queued messages wait it out.
+                self.engine.schedule_call(pause, self._hop, self._occupy)
+                return
+        self._occupy()
+
+    def _hop(self, step: Callable[[], None]) -> None:
+        self.engine.schedule_call(0, step)
+
+    def _occupy(self) -> None:
+        service = self.config.directory_latency + self._dir_cache_penalty(self._msg)
+        if service:
+            self.stats.busy_cycles += service
+            self.engine.schedule_call(service, self._hop, self._handle)
+        else:
+            self._handle()
+
+    def _handle(self) -> None:
+        msg = self._msg
+        handler = self._dispatch.get(type(msg))
+        if handler is None:
+            raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
+        handler(msg)
+        if self._inbox:
+            self.engine.schedule_call(0, self._begin, self._inbox.popleft())
+        else:
+            self._busy = False
 
     def _dir_cache_penalty(self, msg: Any) -> int:
         """Extra cycles to fetch uncached directory entries from memory.
@@ -321,7 +360,7 @@ class DirectoryController:
         entry.sharers.add(msg.requester)
         data = self.memory.read_line(msg.line)
         self.stats.loads_served += 1
-        # Memory access proceeds off the critical serve loop.
+        # Memory access proceeds off the directory's critical path.
         self._send(
             msg.requester,
             LoadReply(msg.line, data, msg.seq),
@@ -785,9 +824,9 @@ class DirectoryController:
         for line in released_lines:
             waiting = self._stalled_loads.pop(line)
             for load in waiting:
-                # Re-enqueue through the serve loop so each released load
-                # pays directory occupancy again.
-                self._queue.put(load)
+                # Back through the server so each released load pays
+                # directory occupancy again.
+                self.deliver(load)
 
     # ------------------------------------------------------------------
     # end-of-run checks

@@ -87,7 +87,7 @@ class PacketFault:
 class NodeFault:
     """A node-level outage window: the component goes quiet, then resumes.
 
-    ``dir_stall`` pauses the node's directory serve loop for any message
+    ``dir_stall`` pauses the node's directory server for any message
     it would handle inside the window; ``cpu_pause`` freezes the node's
     processor at its next transaction-attempt boundary inside the window.
     """

@@ -16,17 +16,10 @@ layers must (and do) tolerate this; an ``ordered=True`` mode exists for
 differential testing.
 
 Jitter comes from an instance-owned generator, never the module-global
-``random`` state.  Two sources are available:
-
-* ``"mt"`` (default): the classic per-interconnect ``random.Random(seed)``
-  Mersenne Twister stream, drawn via a bound ``_randbelow`` — the exact
-  value sequence the original per-packet ``randint`` produced, minus two
-  layers of call overhead.
-* ``"xorshift"``: a per-(src, dst) xorshift64* stream seeded from
-  ``seed`` with splitmix64.  Cheaper and localizes each pair's jitter
-  sequence (adding a flow does not perturb other pairs' jitter), but it
-  is a *different* deterministic sequence, so simulated timings differ
-  from ``"mt"`` runs.  Opt-in for that reason.
+``random`` state: the per-interconnect ``random.Random(seed)`` Mersenne
+Twister stream, drawn via a bound ``_randbelow`` — the exact value
+sequence the original per-packet ``randint`` produced, minus two layers
+of call overhead.
 """
 
 from __future__ import annotations
@@ -43,19 +36,6 @@ Handler = Callable[[Packet], None]
 
 _CLASS_INDEX = {cls: i for i, cls in enumerate(TRAFFIC_CLASSES)}
 _OVERHEAD = _CLASS_INDEX["overhead"]
-
-JITTER_SOURCES = ("mt", "xorshift")
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(state: int) -> int:
-    """One splitmix64 step — used only to seed per-pair xorshift streams."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 class TrafficStats:
@@ -146,12 +126,7 @@ class Interconnect:
         jitter: int = 2,
         seed: int = 0,
         link_contention: bool = False,
-        jitter_source: str = "mt",
     ) -> None:
-        if jitter_source not in JITTER_SOURCES:
-            raise ValueError(
-                f"jitter_source must be one of {JITTER_SOURCES}, got {jitter_source!r}"
-            )
         self.engine = engine
         self.topology = MeshTopology(n_nodes)
         self.link_latency = link_latency
@@ -160,8 +135,6 @@ class Interconnect:
         self.link_bytes_per_cycle = link_bytes_per_cycle
         self.ordered = ordered
         self.jitter = jitter if not ordered else 0
-        self.jitter_source = jitter_source
-        self.seed = seed
         self._rng = Random(seed)
         # randint(0, j) == _randbelow(j + 1) on the same Mersenne Twister
         # stream; binding it skips the randint/randrange wrappers while
@@ -169,9 +142,6 @@ class Interconnect:
         self._draw = getattr(
             self._rng, "_randbelow", None
         ) or (lambda n: self._rng.randrange(n))
-        # Lazily-seeded xorshift64* state per (src, dst), for the
-        # "xorshift" jitter source.
-        self._pair_state: Dict[int, int] = {}
         self._handlers: Dict[int, Handler] = {}
         self._egress_free_at: List[int] = [0] * n_nodes
         self.link_contention = link_contention
@@ -228,22 +198,6 @@ class Interconnect:
         arrival += self.router_latency + serialization
         return arrival - now
 
-    def _jitter_cycles(self, src: int, dst: int) -> int:
-        """The next jitter draw in ``[0, self.jitter]`` for this packet."""
-        if self.jitter_source == "mt":
-            return self._draw(self.jitter + 1)
-        # xorshift64* keyed by (seed, src, dst): each pair advances its
-        # own stream, so unrelated flows never perturb each other.
-        key = src * self.topology.n_nodes + dst
-        state = self._pair_state.get(key)
-        if state is None:
-            state = _splitmix64((self.seed << 32) ^ (key + 1)) or 0x2545F4914F6CDD1D
-        state ^= (state << 13) & _MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & _MASK64
-        self._pair_state[key] = state
-        return (((state * 0x2545F4914F6CDD1D) & _MASK64) * (self.jitter + 1)) >> 64
-
     # -- sending ----------------------------------------------------------
 
     def send(
@@ -288,7 +242,7 @@ class Interconnect:
             if bandwidth:
                 delay += (total_bytes + bandwidth - 1) // bandwidth
         if self.jitter:
-            delay += self._jitter_cycles(src, dst)
+            delay += self._draw(self.jitter + 1)
         packet.deliver_time = now + delay
         if replica:
             self.stats.record_replica(packet)

@@ -1,12 +1,13 @@
 """Discrete-event simulation kernel.
 
-A minimal, dependency-free process/event simulator in the style of SimPy,
-sized for architectural simulation: an :class:`~repro.sim.engine.Engine`
-owns the event queue and the clock (measured in CPU cycles); coroutine
-:class:`~repro.sim.process.Process` objects model hardware agents
-(processors, directory controllers); :mod:`repro.sim.resources` provides
-the synchronization primitives the protocol model needs (FIFO servers for
-occupancy modelling, barriers for the workloads' barrier structure).
+A minimal, dependency-free event simulator, sized for architectural
+simulation: an :class:`~repro.sim.engine.Engine` owns the event queue and
+the clock (measured in CPU cycles) and runs scheduled callbacks;
+coroutine :class:`~repro.sim.process.Process` objects model the agents
+that run a program (the processors); :mod:`repro.sim.resources` provides
+the commit token of the token backend and the workloads' barrier.
+Agents that never block mid-handler, like the directory controllers,
+are plain callback servers on :meth:`Engine.schedule_call`.
 
 Everything in :mod:`repro` runs on this kernel, so its semantics are the
 semantics of the whole simulator:
@@ -17,22 +18,20 @@ semantics of the whole simulator:
   (or uses ``yield from`` for sub-routines); it resumes when the yielded
   event fires, receiving the event's value.
 * Firing an event schedules its callbacks at the *current* cycle; there is
-  no zero-delay cascade limit, but cycles never go backwards.
+  no zero-delay cascade limit, but cycles never go backwards (``run``
+  rejects an ``until`` bound before the current cycle).
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Barrier, Resource, Store
+from repro.sim.resources import Barrier, Resource
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Barrier",
     "Engine",
     "Event",
     "Process",
     "Resource",
-    "Store",
     "Timeout",
 ]

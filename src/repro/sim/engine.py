@@ -1,25 +1,23 @@
 """The discrete-event engine: clock plus time-ordered callback queue.
 
-The queue is three structures behind one deterministic ordering:
+The queue is two structures behind one deterministic ordering:
 
 * a plain FIFO for zero-delay work — the majority of scheduling in the
-  TCC model (event fan-out, process wakeups) happens at the current
-  cycle, and a deque append/popleft is far cheaper than a heap push/pop;
-* an optional calendar of ``calendar_horizon`` buckets for near-future
-  events (``0 < delay < horizon``), each bucket an append-only list;
-* a heapq for everything at or beyond the horizon (and for everything
-  past the FIFO when the calendar is disabled).
+  TCC model (event fan-out, process wakeups, directory service hops)
+  happens at the current cycle, and a deque append/popleft is far
+  cheaper than a heap push/pop;
+* a heapq of ``(cycle, seq, fn, arg)`` for every positive delay.
 
-Execution order is exactly the classic ``(cycle, seq)`` order of the
-original single-heap kernel.  The proof rests on two invariants: the
-global ``seq`` counter is monotone, and the clock only advances when
-the FIFO is empty.  Hence every heap/bucket entry for cycle ``T`` was
-created before the clock reached ``T`` and carries a smaller ``seq``
-than any FIFO entry (which can only be created *at* ``T``); and a
-bucket or heap entry for ``T`` can never be created during ``T``
-because a positive delay lands strictly after ``T``.  So running all
-heap/bucket entries for ``T`` merged by ``seq``, then draining the
-FIFO in append order, reproduces the old kernel event for event.
+Execution order is exactly the classic ``(cycle, seq)`` order of a
+single-heap kernel.  The proof rests on two invariants: the global
+``seq`` counter is monotone, and the clock only advances when the FIFO
+is empty.  Hence every heap entry for cycle ``T`` was created before the
+clock reached ``T`` and carries a smaller ``seq`` than any FIFO entry
+(which can only be created *at* ``T``); and a heap entry for ``T`` can
+never be created during ``T`` because a positive delay lands strictly
+after ``T``.  So running all heap entries for ``T`` in ``seq`` order,
+then draining the FIFO in append order, reproduces the single heap
+event for event.
 """
 
 from __future__ import annotations
@@ -51,28 +49,18 @@ class Engine:
 
     The engine is deliberately tiny: it knows nothing about processes or
     hardware, it only runs ``(cycle, seq, callback)`` entries in
-    deterministic order.  Higher layers (events, processes, resources)
-    build on :meth:`schedule` / :meth:`schedule_call`.
-
-    ``calendar_horizon`` enables the bucket front-end for delays in
-    ``(0, horizon)``; zero (the default) routes every positive delay to
-    the heap.  Either way the observable execution order is identical.
+    deterministic order.  Higher layers (events, processes, resources,
+    the directory server) build on :meth:`schedule_call` /
+    :meth:`schedule_many`.
     """
 
-    def __init__(self, calendar_horizon: int = 0) -> None:
+    def __init__(self) -> None:
         self._now: int = 0
         self._heap: list = []
         self._fifo: deque = deque()
         self._seq: int = 0
         self._running = False
-        self._horizon = int(calendar_horizon)
-        if self._horizon < 0:
-            raise SimulationError("calendar_horizon must be >= 0")
-        self._buckets: Optional[list] = (
-            [[] for _ in range(self._horizon)] if self._horizon else None
-        )
-        self._bucket_count = 0
-        # Diagnostic counters; cheap and useful for performance reports.
+        # Diagnostic counter; cheap and useful for performance reports.
         self.events_executed: int = 0
 
     @property
@@ -80,31 +68,22 @@ class Engine:
         """Current simulation time in cycles."""
         return self._now
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` ``delay`` cycles from now.
-
-        ``delay`` must be a non-negative integer; a zero delay runs the
-        callback later in the current cycle, after already-queued work for
-        this cycle.
-        """
-        self.schedule_call(delay, callback)
-
     def schedule_call(
         self, delay: int, fn: Callable, arg: Any = _NO_VALUE
     ) -> None:
-        """Like :meth:`schedule`, but runs ``fn(arg)`` (or ``fn()`` when
-        ``arg`` is omitted) without a per-event closure."""
+        """Run ``fn(arg)`` (or ``fn()`` when ``arg`` is omitted) ``delay``
+        cycles from now.
+
+        ``delay`` must be a non-negative integer; a zero delay runs the
+        call later in the current cycle, after already-queued work for
+        this cycle.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         delay = int(delay)
         self._seq += 1
         if delay == 0:
             self._fifo.append((fn, arg))
-        elif delay < self._horizon:
-            self._buckets[(self._now + delay) % self._horizon].append(
-                (self._now + delay, self._seq, fn, arg)
-            )
-            self._bucket_count += 1
         else:
             heapq.heappush(self._heap, (self._now + delay, self._seq, fn, arg))
 
@@ -126,64 +105,35 @@ class Engine:
             return
         when = self._now + delay
         seq = self._seq
-        if delay < self._horizon:
-            bucket = self._buckets[when % self._horizon]
-            for fn in fns:
-                seq += 1
-                bucket.append((when, seq, fn, arg))
-            self._bucket_count += seq - self._seq
-        else:
-            heap = self._heap
-            for fn in fns:
-                seq += 1
-                heapq.heappush(heap, (when, seq, fn, arg))
+        heap = self._heap
+        for fn in fns:
+            seq += 1
+            heapq.heappush(heap, (when, seq, fn, arg))
         self._seq = seq
-
-    def _next_cycle(self) -> Optional[int]:
-        """Earliest cycle with a pending bucket or heap entry (FIFO aside)."""
-        candidate: Optional[int] = None
-        if self._bucket_count:
-            buckets = self._buckets
-            horizon = self._horizon
-            now = self._now
-            # Every bucket entry targets a cycle in (now, now + horizon),
-            # so scanning forward from now+1 finds the earliest one.
-            for cycle in range(now + 1, now + horizon):
-                if buckets[cycle % horizon]:
-                    candidate = cycle
-                    break
-        if self._heap:
-            top = self._heap[0][0]
-            if candidate is None or top < candidate:
-                candidate = top
-        return candidate
 
     def run(self, until: Optional[int] = None) -> int:
         """Execute queued events; return the final simulation time.
 
         Runs until the queue drains (the clock stays at the last executed
         event) or until the clock would pass ``until`` (events at exactly
-        ``until`` still execute, and the clock parks at ``until``).
+        ``until`` still execute, and the clock parks at ``until``).  A
+        bound before the current cycle is an error: cycles never go
+        backwards.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is before the current cycle {self._now}"
+            )
         self._running = True
         executed = 0
         fifo = self._fifo
         heap = self._heap
-        buckets = self._buckets
-        horizon = self._horizon
         pop_fifo = fifo.popleft
         pop_heap = heapq.heappop
         no_value = _NO_VALUE
         try:
-            if until is not None and self._now > until:
-                # Pathological but defined: with pending events the old
-                # kernel parked the (backward) clock at ``until`` without
-                # executing anything.
-                if fifo or heap or self._bucket_count:
-                    self._now = until
-                return self._now
             # Zero-delay work queued since the last run belongs to the
             # current cycle and precedes any clock advance.
             while fifo:
@@ -193,45 +143,19 @@ class Engine:
                     fn()
                 else:
                     fn(arg)
-            while True:
-                cycle = self._next_cycle()
-                if cycle is None:
-                    break
+            while heap:
+                cycle = heap[0][0]
                 if until is not None and cycle > until:
                     self._now = until
                     break
                 self._now = cycle
-                bucket = buckets[cycle % horizon] if horizon else None
-                if bucket:
-                    # Merge the cycle's bucket entries (append order ==
-                    # seq order) with its heap entries by seq.
-                    self._bucket_count -= len(bucket)
-                    index, length = 0, len(bucket)
-                    while True:
-                        heap_here = heap and heap[0][0] == cycle
-                        if index < length and (
-                            not heap_here or bucket[index][1] < heap[0][1]
-                        ):
-                            _, _, fn, arg = bucket[index]
-                            index += 1
-                        elif heap_here:
-                            _, _, fn, arg = pop_heap(heap)
-                        else:
-                            break
-                        executed += 1
-                        if arg is no_value:
-                            fn()
-                        else:
-                            fn(arg)
-                    del bucket[:]
-                else:
-                    while heap and heap[0][0] == cycle:
-                        _, _, fn, arg = pop_heap(heap)
-                        executed += 1
-                        if arg is no_value:
-                            fn()
-                        else:
-                            fn(arg)
+                while heap and heap[0][0] == cycle:
+                    _, _, fn, arg = pop_heap(heap)
+                    executed += 1
+                    if arg is no_value:
+                        fn()
+                    else:
+                        fn(arg)
                 # Zero-delay work spawned during this cycle runs after
                 # every previously queued entry for the cycle (it carries
                 # a larger seq by construction).
@@ -251,22 +175,8 @@ class Engine:
         """Time of the next queued event, or ``None`` if the queue is empty."""
         if self._fifo:
             return self._now
-        return self._next_cycle()
+        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pending = len(self._fifo) + len(self._heap) + self._bucket_count
+        pending = len(self._fifo) + len(self._heap)
         return f"Engine(now={self._now}, pending={pending})"
-
-
-def ensure_engine(obj: Any) -> Engine:
-    """Return ``obj`` if it is an :class:`Engine`, else raise.
-
-    Used by components that accept either an engine or a larger system
-    object exposing ``.engine``.
-    """
-    if isinstance(obj, Engine):
-        return obj
-    engine = getattr(obj, "engine", None)
-    if isinstance(engine, Engine):
-        return engine
-    raise TypeError(f"expected an Engine (or object with .engine), got {obj!r}")

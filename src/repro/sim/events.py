@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable
 
 from repro.sim.engine import Engine, SimulationError
 
@@ -45,11 +45,6 @@ class Event:
             self.engine.schedule_many(0, callbacks, self._value)
         return self
 
-    def fire_in(self, delay: int, value: Any = None) -> "Event":
-        """Fire this event ``delay`` cycles from now."""
-        self.engine.schedule_call(delay, self.fire, value)
-        return self
-
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         """Invoke ``callback(value)`` when (or if already) fired."""
         if self._fired:
@@ -65,55 +60,4 @@ class Timeout(Event):
 
     def __init__(self, engine: Engine, delay: int, value: Any = None) -> None:
         super().__init__(engine)
-        self.fire_in(delay, value)
-
-
-class AllOf(Event):
-    """Fires once every constituent event has fired.
-
-    The value is the list of constituent values in constructor order.
-    An empty collection fires immediately (at the current cycle).
-    """
-
-    __slots__ = ("_pending", "_values")
-
-    def __init__(self, engine: Engine, events: Iterable[Event]) -> None:
-        super().__init__(engine)
-        events = list(events)
-        self._values: list[Any] = [None] * len(events)
-        self._pending = len(events)
-        if self._pending == 0:
-            self.fire([])
-            return
-        for index, event in enumerate(events):
-            event.subscribe(lambda value, i=index: self._one_done(i, value))
-
-    def _one_done(self, index: int, value: Any) -> None:
-        self._values[index] = value
-        self._pending -= 1
-        if self._pending == 0:
-            self.fire(list(self._values))
-
-
-class AnyOf(Event):
-    """Fires when the first constituent event fires, with ``(index, value)``."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: Engine, events: Iterable[Event]) -> None:
-        super().__init__(engine)
-        for index, event in enumerate(events):
-            event.subscribe(lambda value, i=index: self._first(i, value))
-
-    def _first(self, index: int, value: Any) -> None:
-        if not self.fired:
-            self.fire((index, value))
-
-
-def maybe_timeout(engine: Engine, delay: int) -> Optional[Timeout]:
-    """A ``Timeout`` for positive delays, ``None`` for zero.
-
-    Lets hot paths skip the event queue entirely when a modelled latency
-    happens to be zero cycles.
-    """
-    return Timeout(engine, delay) if delay > 0 else None
+        engine.schedule_call(delay, self.fire, value)

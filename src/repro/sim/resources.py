@@ -2,21 +2,19 @@
 
 These model the *shared* hardware resources in the simulated machine:
 
-* :class:`Resource` — a FIFO server with a fixed service occupancy; used
-  for directory-controller and memory-port occupancy modelling.
+* :class:`Resource` — a single server with FIFO queueing; the token
+  commit backend (the bus-TCC foil) models its global commit token with
+  it.
 * :class:`Barrier` — a reusable cyclic barrier; the workloads in the paper
   are barrier-structured (code between barriers becomes transactions).
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``; used
-  for message queues whose consumer is a process.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class Resource:
@@ -24,8 +22,7 @@ class Resource:
 
     ``acquire()`` returns an event that fires when the caller holds the
     resource; the holder must call ``release()``.  ``busy_cycles``
-    accumulates total held time, which is exactly the "occupancy" statistic
-    Table 3 of the paper reports for directories.
+    accumulates total held time (the server's occupancy).
     """
 
     def __init__(self, engine: Engine, name: str = "resource") -> None:
@@ -67,13 +64,6 @@ class Resource:
         self.total_acquisitions += 1
         event.fire(self)
 
-    def use(self, cycles: int) -> Generator[Event, Any, None]:
-        """Convenience process fragment: hold the resource for ``cycles``."""
-        yield self.acquire()
-        if cycles:
-            yield Timeout(self.engine, cycles)
-        self.release()
-
 
 class Barrier:
     """A cyclic barrier across ``parties`` processes.
@@ -102,33 +92,3 @@ class Barrier:
             for waiter in waiting:
                 waiter.fire(self.generations)
         return event
-
-
-class Store:
-    """Unbounded FIFO with blocking ``get`` — a message mailbox."""
-
-    def __init__(self, engine: Engine, name: str = "store") -> None:
-        self.engine = engine
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().fire(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.engine)
-        if self._items:
-            event.fire(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek(self) -> Optional[Any]:
-        return self._items[0] if self._items else None

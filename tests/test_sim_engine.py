@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Engine
-from repro.sim.engine import SimulationError, ensure_engine
+from repro.sim.engine import SimulationError
 
 
 def test_time_starts_at_zero():
@@ -13,7 +13,7 @@ def test_time_starts_at_zero():
 def test_schedule_and_run_advances_clock():
     engine = Engine()
     fired = []
-    engine.schedule(10, lambda: fired.append(engine.now))
+    engine.schedule_call(10, lambda: fired.append(engine.now))
     engine.run()
     assert fired == [10]
     assert engine.now == 10
@@ -22,9 +22,9 @@ def test_schedule_and_run_advances_clock():
 def test_events_run_in_time_order():
     engine = Engine()
     order = []
-    engine.schedule(5, lambda: order.append("b"))
-    engine.schedule(1, lambda: order.append("a"))
-    engine.schedule(9, lambda: order.append("c"))
+    engine.schedule_call(5, lambda: order.append("b"))
+    engine.schedule_call(1, lambda: order.append("a"))
+    engine.schedule_call(9, lambda: order.append("c"))
     engine.run()
     assert order == ["a", "b", "c"]
 
@@ -33,7 +33,7 @@ def test_same_cycle_events_run_fifo():
     engine = Engine()
     order = []
     for label in "abc":
-        engine.schedule(3, lambda lab=label: order.append(lab))
+        engine.schedule_call(3, lambda lab=label: order.append(lab))
     engine.run()
     assert order == ["a", "b", "c"]
 
@@ -44,10 +44,10 @@ def test_zero_delay_runs_after_current_queue_entries():
 
     def first():
         order.append("first")
-        engine.schedule(0, lambda: order.append("nested"))
+        engine.schedule_call(0, lambda: order.append("nested"))
 
-    engine.schedule(0, first)
-    engine.schedule(0, lambda: order.append("second"))
+    engine.schedule_call(0, first)
+    engine.schedule_call(0, lambda: order.append("second"))
     engine.run()
     assert order == ["first", "second", "nested"]
 
@@ -55,14 +55,14 @@ def test_zero_delay_runs_after_current_queue_entries():
 def test_negative_delay_rejected():
     engine = Engine()
     with pytest.raises(SimulationError):
-        engine.schedule(-1, lambda: None)
+        engine.schedule_call(-1, lambda: None)
 
 
 def test_run_until_stops_clock_at_bound():
     engine = Engine()
     fired = []
-    engine.schedule(10, lambda: fired.append("early"))
-    engine.schedule(100, lambda: fired.append("late"))
+    engine.schedule_call(10, lambda: fired.append("early"))
+    engine.schedule_call(100, lambda: fired.append("late"))
     engine.run(until=50)
     assert fired == ["early"]
     assert engine.now == 50
@@ -74,7 +74,7 @@ def test_run_until_stops_clock_at_bound():
 def test_run_until_includes_boundary_events():
     engine = Engine()
     fired = []
-    engine.schedule(50, lambda: fired.append("boundary"))
+    engine.schedule_call(50, lambda: fired.append("boundary"))
     engine.run(until=50)
     assert fired == ["boundary"]
 
@@ -83,7 +83,7 @@ def test_run_on_empty_queue_leaves_clock_at_last_event():
     engine = Engine()
     engine.run(until=42)
     assert engine.now == 0
-    engine.schedule(7, lambda: None)
+    engine.schedule_call(7, lambda: None)
     engine.run(until=42)
     assert engine.now == 7
 
@@ -91,7 +91,7 @@ def test_run_on_empty_queue_leaves_clock_at_last_event():
 def test_events_scheduled_during_run_execute():
     engine = Engine()
     fired = []
-    engine.schedule(1, lambda: engine.schedule(5, lambda: fired.append(engine.now)))
+    engine.schedule_call(1, lambda: engine.schedule_call(5, lambda: fired.append(engine.now)))
     engine.run()
     assert fired == [6]
 
@@ -99,14 +99,14 @@ def test_events_scheduled_during_run_execute():
 def test_peek_reports_next_event_time():
     engine = Engine()
     assert engine.peek() is None
-    engine.schedule(7, lambda: None)
+    engine.schedule_call(7, lambda: None)
     assert engine.peek() == 7
 
 
 def test_events_executed_counter():
     engine = Engine()
     for _ in range(5):
-        engine.schedule(1, lambda: None)
+        engine.schedule_call(1, lambda: None)
     engine.run()
     assert engine.events_executed == 5
 
@@ -143,49 +143,22 @@ def test_schedule_many_zero_delay_interleaves_with_schedule():
 
     def kickoff():
         engine.schedule_many(0, [lambda: order.append("m1"), lambda: order.append("m2")])
-        engine.schedule(0, lambda: order.append("s"))
+        engine.schedule_call(0, lambda: order.append("s"))
 
-    engine.schedule(1, kickoff)
+    engine.schedule_call(1, kickoff)
     engine.run()
     assert order == ["m1", "m2", "s"]
 
 
-def test_calendar_horizon_matches_default_engine():
-    def trace(engine):
-        order = []
-        engine.schedule(9, lambda: order.append((engine.now, "far")))
-        engine.schedule(1, lambda: engine.schedule(2, lambda: order.append((engine.now, "nested"))))
-        for label in ("a", "b"):
-            engine.schedule(3, lambda lab=label: order.append((engine.now, lab)))
-        engine.schedule(0, lambda: order.append((engine.now, "zero")))
-        engine.run()
-        return order, engine.now, engine.events_executed
-
-    assert trace(Engine(calendar_horizon=8)) == trace(Engine())
-
-
-def test_calendar_horizon_peek_and_until():
-    engine = Engine(calendar_horizon=16)
-    fired = []
-    engine.schedule(5, lambda: fired.append("near"))
-    engine.schedule(40, lambda: fired.append("beyond-horizon"))
-    assert engine.peek() == 5
-    engine.run(until=20)
-    assert fired == ["near"]
-    assert engine.now == 20
-    engine.run()
-    assert fired == ["near", "beyond-horizon"]
-    assert engine.now == 40
-
-
-def test_ensure_engine_accepts_engine_and_wrapper():
+def test_run_until_before_now_rejected():
     engine = Engine()
-    assert ensure_engine(engine) is engine
-
-    class Holder:
-        def __init__(self, eng):
-            self.engine = eng
-
-    assert ensure_engine(Holder(engine)) is engine
-    with pytest.raises(TypeError):
-        ensure_engine(object())
+    engine.schedule_call(10, lambda: None)
+    engine.schedule_call(20, lambda: None)
+    engine.run(until=15)
+    with pytest.raises(SimulationError):
+        engine.run(until=14)
+    # The refused run moved nothing: the clock stays, the queue is intact.
+    assert engine.now == 15
+    assert engine.peek() == 20
+    engine.run()
+    assert engine.now == 20

@@ -1,10 +1,9 @@
-"""Unit tests for events, timeouts, and combinators."""
+"""Unit tests for events and timeouts."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
+from repro.sim import Engine, Event, Timeout
 from repro.sim.engine import SimulationError
-from repro.sim.events import maybe_timeout
 
 
 def test_event_fire_wakes_subscriber_with_value():
@@ -41,17 +40,6 @@ def test_value_before_fire_rejected():
         _ = event.value
 
 
-def test_fire_in_delays_delivery():
-    engine = Engine()
-    event = Event(engine)
-    times = []
-    event.subscribe(lambda _v: times.append(engine.now))
-    event.fire_in(25, "later")
-    engine.run()
-    assert times == [25]
-    assert event.value == "later"
-
-
 def test_timeout_fires_after_delay():
     engine = Engine()
     timeout = Timeout(engine, 8, value="t")
@@ -59,52 +47,3 @@ def test_timeout_fires_after_delay():
     assert timeout.fired
     assert timeout.value == "t"
     assert engine.now == 8
-
-
-def test_all_of_waits_for_slowest():
-    engine = Engine()
-    fast = Timeout(engine, 1, value="fast")
-    slow = Timeout(engine, 10, value="slow")
-    combo = AllOf(engine, [fast, slow])
-    times = []
-    combo.subscribe(lambda _v: times.append(engine.now))
-    engine.run()
-    assert combo.value == ["fast", "slow"]
-    assert times == [10]
-
-
-def test_all_of_empty_fires_immediately():
-    engine = Engine()
-    combo = AllOf(engine, [])
-    engine.run()
-    assert combo.fired
-    assert combo.value == []
-    assert engine.now == 0
-
-
-def test_any_of_fires_on_first():
-    engine = Engine()
-    fast = Timeout(engine, 2, value="fast")
-    slow = Timeout(engine, 9, value="slow")
-    combo = AnyOf(engine, [fast, slow])
-    times = []
-    combo.subscribe(lambda _v: times.append(engine.now))
-    engine.run()
-    assert combo.value == (0, "fast")
-    assert times == [2]
-
-
-def test_any_of_ignores_later_events():
-    engine = Engine()
-    a = Timeout(engine, 3)
-    b = Timeout(engine, 3)
-    combo = AnyOf(engine, [a, b])
-    engine.run()
-    assert combo.fired  # second fire at the same cycle must not raise
-
-
-def test_maybe_timeout_zero_is_none():
-    engine = Engine()
-    assert maybe_timeout(engine, 0) is None
-    t = maybe_timeout(engine, 3)
-    assert isinstance(t, Timeout)

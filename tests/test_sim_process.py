@@ -101,7 +101,7 @@ def test_process_waits_on_plain_event():
         log.append((engine.now, value))
 
     Process(engine, waiter())
-    engine.schedule(30, lambda: gate.fire("open"))
+    engine.schedule_call(30, lambda: gate.fire("open"))
     engine.run()
     assert log == [(30, "open")]
 
@@ -117,7 +117,7 @@ def test_two_processes_waiting_on_same_event():
 
     Process(engine, waiter("x"))
     Process(engine, waiter("y"))
-    engine.schedule(1, gate.fire)
+    engine.schedule_call(1, gate.fire)
     engine.run()
     assert sorted(woken) == ["x", "y"]
 

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Barrier, and Store primitives."""
+"""Unit tests for the Resource and Barrier primitives."""
 
 import pytest
 
-from repro.sim import Barrier, Engine, Process, Resource, Store, Timeout
+from repro.sim import Barrier, Engine, Process, Resource, Timeout
 
 
 def test_resource_grants_immediately_when_free():
@@ -42,10 +42,15 @@ def test_resource_busy_cycles_accumulate():
     engine = Engine()
     res = Resource(engine)
 
+    def hold(cycles):
+        yield res.acquire()
+        yield Timeout(engine, cycles)
+        res.release()
+
     def worker():
-        yield from res.use(12)
+        yield from hold(12)
         yield Timeout(engine, 100)
-        yield from res.use(3)
+        yield from hold(3)
 
     Process(engine, worker())
     engine.run()
@@ -64,7 +69,9 @@ def test_resource_queue_length_visible():
     res = Resource(engine)
 
     def holder():
-        yield from res.use(10)
+        yield res.acquire()
+        yield Timeout(engine, 10)
+        res.release()
 
     def waiter():
         yield res.acquire()
@@ -131,51 +138,3 @@ def test_barrier_single_party_never_blocks():
 def test_barrier_rejects_zero_parties():
     with pytest.raises(ValueError):
         Barrier(Engine(), parties=0)
-
-
-def test_store_put_then_get():
-    engine = Engine()
-    store = Store(engine)
-    store.put("m1")
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    Process(engine, consumer())
-    engine.run()
-    assert got == ["m1"]
-
-
-def test_store_get_blocks_until_put():
-    engine = Engine()
-    store = Store(engine)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, engine.now))
-
-    Process(engine, consumer())
-    engine.schedule(20, lambda: store.put("late"))
-    engine.run()
-    assert got == [("late", 20)]
-
-
-def test_store_preserves_fifo_order():
-    engine = Engine()
-    store = Store(engine)
-    for i in range(5):
-        store.put(i)
-    got = []
-
-    def consumer():
-        for _ in range(5):
-            got.append((yield store.get()))
-
-    Process(engine, consumer())
-    engine.run()
-    assert got == [0, 1, 2, 3, 4]
-    assert len(store) == 0
-    assert store.peek() is None
