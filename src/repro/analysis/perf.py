@@ -30,7 +30,10 @@ or programmatically via :func:`run_perf`.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import statistics
+import subprocess
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -41,6 +44,36 @@ from repro.workloads.apps import APP_PROFILES
 #: The headline experiment: the Fig. 7 scaling run at 32 CPUs.
 FULL_APPS = tuple(sorted(APP_PROFILES))
 QUICK_APPS = ("barnes", "equake", "swim")
+
+_REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
+
+
+def _provenance() -> Dict[str, object]:
+    """Where a report was measured: code revision and CPU (the
+    interpreter version is the report's top-level ``python``)."""
+    try:
+        git = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=_REPO_ROOT, capture_output=True,
+            text=True, timeout=30,
+        )
+        sha: Optional[str] = git.stdout.strip() if git.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as handle:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in handle
+                 if line.startswith("model name")),
+                None,
+            )
+    except OSError:
+        pass
+    return {
+        "git_sha": sha,
+        "cpu_count": os.cpu_count(),
+        "cpu_model": cpu,
+    }
 
 
 def run_perf(
@@ -121,6 +154,7 @@ def run_perf(
             "jobs": jobs,
         },
         "python": sys.version.split()[0],
+        "provenance": _provenance(),
         "per_app": per_app,
         "total": {
             "events": total_events,

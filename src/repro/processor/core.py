@@ -645,7 +645,7 @@ class TCCProcessor:
         """Write every committed-dirty line home (for final-state checks)."""
         dirty = [
             entry.line
-            for bucket in self.hierarchy.l2._sets
+            for bucket in self.hierarchy.l2.buckets()
             for entry in bucket.values()
             if entry.dirty
         ]

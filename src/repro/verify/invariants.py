@@ -59,7 +59,7 @@ def check_system_invariants(system, strict_sharers: bool = True) -> None:
 
 def _check_caches(system, problems: List[str]) -> None:
     for proc in system.processors:
-        for bucket in proc.hierarchy.l2._sets:
+        for bucket in proc.hierarchy.l2.buckets():
             for entry in bucket.values():
                 if entry.sr_mask & ~entry.valid_mask:
                     problems.append(
@@ -104,7 +104,7 @@ def _check_directories(system, problems: List[str]) -> None:
 
 def _check_sharer_coverage(system, problems: List[str]) -> None:
     for proc in system.processors:
-        for bucket in proc.hierarchy.l2._sets:
+        for bucket in proc.hierarchy.l2.buckets():
             for entry in bucket.values():
                 if not entry.valid_mask:
                     continue

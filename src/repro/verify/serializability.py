@@ -21,14 +21,14 @@ memory image and are caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.memory.address import AddressMap
 from repro.workloads.base import Transaction
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """What one committed transaction did and saw (final attempt only)."""
 

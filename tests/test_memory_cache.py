@@ -231,3 +231,36 @@ def test_hit_rate(amap):
     cache.read(9, 0)
     assert cache.stats.hit_rate == 0.5
     assert cache.stats.accesses == 2
+
+
+def test_sets_get_a_bucket_on_first_fill_only(amap):
+    cache = small_cache(amap, ways=2, sets=4)
+    assert list(cache.buckets()) == []
+    # Misses, probes and invalidations of unfilled sets allocate nothing.
+    assert cache.read(1, 0) is None
+    assert cache.write(1, 0, 5) is False
+    assert cache.lookup(2) is None and not cache.contains(3)
+    assert cache.invalidate(1) is None
+    assert cache.invalidate_words(2, 0xFF) is None
+    cache.clear_dirty(3)
+    assert list(cache.buckets()) == []
+    cache.fill(5, [0] * 8)
+    assert [list(bucket) for bucket in cache.buckets()] == [[5]]
+    assert cache.resident_lines() == 1
+
+
+def test_buckets_iterate_in_set_order_and_lines_in_insertion_order(amap):
+    cache = small_cache(amap, ways=4, sets=4)
+    for line in (6, 1, 5, 2, 9, 3):
+        cache.fill(line, [0] * 8)
+    # sets 1: 1, 5, 9; 2: 6, 2; 3: 3 (set 0 never filled)
+    assert [list(bucket) for bucket in cache.buckets()] == [[1, 5, 9], [6, 2], [3]]
+
+
+def test_cache_records_are_slotted(amap):
+    cache = small_cache(amap)
+    cache.fill(0, [0] * 8)
+    entry = cache.lookup(0)
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(AttributeError):
+        entry.unknown = 1

@@ -1,7 +1,11 @@
 """Unit tests for the private L1/L2 hierarchy."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro import ScalableTCCSystem, SystemConfig
 from repro.memory import AddressMap, PrivateHierarchy
 from repro.memory.hierarchy import FLUSH_FIRST, HIT_L1, HIT_L2, MISS
 
@@ -126,3 +130,39 @@ def test_read_write_set_bytes(hier):
     hier.store(1, 0, 5)
     assert hier.read_set_bytes() == 8
     assert hier.write_set_bytes() == 4
+
+
+def _filled_l1_sets(hier):
+    return sum(bucket is not None for bucket in hier.l1._sets)
+
+
+def test_tag_filter_sets_get_a_bucket_on_first_insert_and_lose_it_on_clear(hier):
+    assert _filled_l1_sets(hier) == 0
+    hier.load(0, 0)  # miss: invalidates the L1 tag, allocates nothing
+    assert not hier.l1.contains(0)
+    assert _filled_l1_sets(hier) == 0
+    hier.fill(0, [0] * 8)
+    hier.fill(1, [0] * 8)
+    assert _filled_l1_sets(hier) == 2
+    hier.l1.clear()
+    assert _filled_l1_sets(hier) == 0
+    assert not hier.l1.contains(0)
+    hier.l1.insert(0)
+    assert hier.l1.contains(0)
+    assert _filled_l1_sets(hier) == 1
+
+
+def test_full_system_build_allocates_under_two_megabytes():
+    """The Table 2 machine at 32 CPUs models 32 x 512 KB of L2 and
+    32 x 32 KB of L1; a build must not allocate per-set storage up front."""
+    ScalableTCCSystem(SystemConfig(n_processors=2))  # import everything first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        system = ScalableTCCSystem(SystemConfig(n_processors=32))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(system.processors) == 32
+    assert after - before < 2 * 2**20

@@ -143,3 +143,22 @@ def test_tx_instruction_samples_match_commits():
     txs = [Transaction(i, [("c", 10 * (i + 1))]) for i in range(3)]
     system, result = run([txs])
     assert len(result.proc_stats[0].tx_instructions) == 3
+
+
+
+def test_drain_sends_write_backs_in_bucket_order(monkeypatch):
+    system = ScalableTCCSystem(SystemConfig(n_processors=2))
+    proc = system.processors[0]
+    l2 = proc.hierarchy.l2
+    n_sets = l2.n_sets
+    # Two lines in each of sets 7 and 2, filled out of set order, and a
+    # clean line in set 9 that stays put.
+    for line in (3 * n_sets + 7, 2, 7, 5 * n_sets + 2, 9):
+        proc.hierarchy.fill(line, [1] * 8, dirty=line != 9)
+    walk = [entry.line for bucket in l2.buckets() for entry in bucket.values()]
+    sent = []
+    monkeypatch.setattr(proc, "_send", lambda dst, msg: sent.append(msg.line))
+    assert proc.drain_dirty_lines() == 4
+    assert sent == [2, 5 * n_sets + 2, 3 * n_sets + 7, 7]
+    assert sent == [line for line in walk if line != 9]
+    assert [entry.line for bucket in l2.buckets() for entry in bucket.values()] == [9]

@@ -113,7 +113,7 @@ def test_cache_capacity_never_exceeded_without_speculation(lines, ways):
     cache = SpeculativeCache(AMAP, ways * 4 * 32, ways)  # 4 sets
     for line in lines:
         cache.fill(line, [0] * 8)
-    for bucket in cache._sets:
+    for bucket in cache.buckets():
         assert len(bucket) <= ways
 
 
