@@ -55,6 +55,10 @@ class MainMemory:
         data = self._lines.get(line)
         return 0 if data is None else data[word]
 
+    def clear(self) -> None:
+        """Forget every stored line; the access counters stay."""
+        self._lines = {}
+
     def snapshot(self) -> Dict[int, List[int]]:
         """Deep copy of all stored lines (for verification)."""
         return {line: list(words) for line, words in self._lines.items()}

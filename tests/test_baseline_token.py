@@ -19,7 +19,7 @@ def run(schedules, **kwargs):
     kwargs.setdefault("n_processors", len(schedules))
     kwargs.setdefault("commit_backend", "token")
     system = ScalableTCCSystem(SystemConfig(**kwargs))
-    result = system.run(Scripted(schedules), max_cycles=50_000_000)
+    result = system.run(Scripted(schedules), max_cycles=50_000_000, keep_state=True)
     return system, result
 
 

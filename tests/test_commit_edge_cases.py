@@ -20,7 +20,7 @@ def run(schedules, **kwargs):
     kwargs.setdefault("n_processors", len(schedules))
     kwargs.setdefault("ordered_network", True)
     system = ScalableTCCSystem(SystemConfig(**kwargs))
-    result = system.run(Scripted(schedules), max_cycles=100_000_000)
+    result = system.run(Scripted(schedules), max_cycles=100_000_000, keep_state=True)
     return system, result
 
 

@@ -29,7 +29,9 @@ def run_scripted(schedules, **config_kwargs):
     config_kwargs.setdefault("n_processors", len(schedules))
     config_kwargs.setdefault("ordered_network", True)
     system = ScalableTCCSystem(SystemConfig(**config_kwargs))
-    result = system.run(ScriptedWorkload(schedules), max_cycles=50_000_000)
+    result = system.run(
+        ScriptedWorkload(schedules), max_cycles=50_000_000, keep_state=True
+    )
     return system, result
 
 
@@ -114,7 +116,7 @@ def test_commit_does_not_push_data_to_memory():
     system = ScalableTCCSystem(SystemConfig(n_processors=1, ordered_network=True))
     # run without drain interference: run the workload, check memory pre-drain
     system.barrier = None
-    result = system.run(Probe(), max_cycles=10_000_000)
+    result = system.run(Probe(), max_cycles=10_000_000, keep_state=True)
     # after drain the data is home:
     assert result.memory_image[0][0] == 9
     entry = system.directories[0].state.entry(0)
@@ -263,3 +265,39 @@ def test_unordered_network_load_inv_race_resolved_by_retry():
         schedules, ordered_network=False, network_jitter=5
     )
     assert result.memory_image[0][0] == 20
+
+
+def test_run_empties_the_machine_unless_asked_to_keep_it():
+    """After a run the caches, directory entries and home memories are
+    empty; their counters and the result's memory image are not."""
+    schedules = [
+        [Transaction(p * 10 + i, [("c", 5), ("st", (p * 8 + i) * LINE, i + 1),
+                                  ("ld", 0)]) for i in range(3)]
+        for p in range(2)
+    ]
+
+    def run(keep_state):
+        system = ScalableTCCSystem(SystemConfig(n_processors=2, ordered_network=True))
+        result = system.run(
+            ScriptedWorkload(schedules), max_cycles=50_000_000, keep_state=keep_state
+        )
+        return system, result
+
+    kept, kept_result = run(keep_state=True)
+    emptied, result = run(keep_state=False)
+    assert result.to_dict() == kept_result.to_dict()
+    assert result.memory_image == kept_result.memory_image
+    assert result.memory_image[1 * 8 + 2][0] == 3
+
+    assert any(p.hierarchy.l2.resident_lines() for p in kept.processors)
+    assert sum(len(d.state) for d in kept.directories) > 0
+    assert sum(m.resident_lines for m in kept.memories) > 0
+    for processor in emptied.processors:
+        assert not processor.hierarchy.l2.resident_lines()
+        assert not processor.hierarchy.l1.contains(0)
+    assert sum(len(d.state) for d in emptied.directories) == 0
+    assert sum(m.resident_lines for m in emptied.memories) == 0
+    assert [p.hierarchy.stats.accesses for p in emptied.processors] == [
+        p.hierarchy.stats.accesses for p in kept.processors
+    ]
+    assert [m.writes for m in emptied.memories] == [m.writes for m in kept.memories]

@@ -136,7 +136,9 @@ class TestFigure3Failure:
 
     def test_aborted_attempt_cleared_marks(self):
         system = build(self.make_schedules())
-        system.run(Scripted(self.make_schedules()), max_cycles=50_000_000)
+        system.run(
+            Scripted(self.make_schedules()), max_cycles=50_000_000, keep_state=True
+        )
         # After the run no line anywhere is still marked.
         for directory in system.directories:
             for entry in directory.state.entries():

@@ -19,7 +19,10 @@ def test_clean_system_passes():
 
 def test_post_run_system_passes():
     system = fresh_system()
-    system.run(CounterWorkload(increments_per_proc=5), max_cycles=50_000_000)
+    system.run(
+        CounterWorkload(increments_per_proc=5), max_cycles=50_000_000, keep_state=True
+    )
+    assert any(p.hierarchy.l2.resident_lines() for p in system.processors)
     check_system_invariants(system)
 
 
