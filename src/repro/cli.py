@@ -37,10 +37,12 @@ from repro.analysis import (
     format_breakdown_figure,
     format_table,
     format_traffic_figure,
+    render_report,
     run_latency_sweep,
     run_scaling,
 )
 from repro.stats import characteristics, speedup
+from repro.tracing import render_timeline, tape_report
 
 
 def _int_list(text: str) -> List[int]:
@@ -157,7 +159,7 @@ def cmd_describe(args) -> int:
 def cmd_run(args) -> int:
     name = _check_app(args.app)
     config = _config_from(args)
-    if args.timeline:
+    if args.tape or args.timeline or args.report:
         import dataclasses
 
         config = dataclasses.replace(config, event_log=True)
@@ -185,17 +187,13 @@ def cmd_run(args) -> int:
           f"{row.dirs_per_commit_p90:.0f} dirs/commit")
     if args.tape:
         print()
-        print(system.tape.report())
+        print(tape_report(system))
     if args.timeline:
-        from repro.tracing import render_timeline
-
         print()
         print(render_timeline(system.events, config.n_processors,
                               width=96, end_time=result.cycles))
     if args.report:
-        from repro.analysis import render_report
-
-        text = render_report(name, result, system.tape.report())
+        text = render_report(name, result, tape_report(system))
         with open(args.report, "w") as handle:
             handle.write(text + "\n")
         print(f"\nreport written to {args.report}")

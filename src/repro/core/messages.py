@@ -268,8 +268,9 @@ class AbortAck:
 class Invalidation:
     """A committed write: sharers drop the words and check for violation.
 
-    ``committer`` is carried for profiling (TAPE attributes violations to
-    the committing processor); the hardware message needs only the TID.
+    ``committer`` is carried for profiling (it is logged with the
+    ``violation`` event, and the TAPE view attributes violations to the
+    committing processor); the hardware message needs only the TID.
     """
 
     directory: int

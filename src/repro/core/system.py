@@ -40,7 +40,6 @@ from repro.memory.hierarchy import PrivateHierarchy
 from repro.network.interconnect import Interconnect, TrafficStats
 from repro.processor.core import TCCProcessor
 from repro.processor.stats import ProcessorStats
-from repro.profiling.tape import TapeProfiler
 from repro.sim import Barrier, Engine, Resource
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
 from repro.workloads.base import Workload
@@ -183,7 +182,6 @@ class ScalableTCCSystem:
         else:
             self.mapping = InterleavedMapping(config.n_processors)
         self.vendor = TidVendor(config.tid_vendor_node)
-        self.tape = TapeProfiler()
         if config.event_log:
             from repro.tracing import EventLog
 
@@ -333,9 +331,6 @@ class ScalableTCCSystem:
         from repro.verify.invariants import check_system_invariants
 
         check_system_invariants(self, strict_sharers=True)
-        self.tape.overflow_events = sum(
-            p.hierarchy.stats.speculative_overflows for p in self.processors
-        )
         self._drain()
         for directory in self.directories:
             directory.quiescent_check()

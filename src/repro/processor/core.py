@@ -121,7 +121,7 @@ class TCCProcessor:
         self.commit_acks: set[int] = set()
 
         self.finished = False
-        self.event_log = system.events if hasattr(system, "events") else None
+        self.event_log = system.events
 
         from repro.baseline.token import TokenCommitEngine
         from repro.processor.commit import ScalableCommitEngine
@@ -202,6 +202,8 @@ class TCCProcessor:
     def _count_stale(self) -> None:
         if self.fault_stats is not None:
             self.fault_stats.stale_drops += 1
+        if self.event_log is not None:
+            self.event_log.log(self.engine.now, "stale", self.node)
 
     def _on_probe_reply(self, msg: ProbeReply) -> None:
         if msg.tid != self.current_tid:
@@ -293,12 +295,10 @@ class TCCProcessor:
             overlap = word_mask & (entry.sr_mask | entry.sm_mask)
             if overlap and self.in_transaction and not self.validated:
                 if self.current_tid is None or inv_tid < self.current_tid:
-                    self.system.tape.note_violation_cause(
-                        self.node, line, word_mask, inv_tid, committer
-                    )
                     if self.event_log is not None:
                         self.event_log.log(self.engine.now, "violation",
-                                           self.node, line=line, tid=inv_tid)
+                                           self.node, line=line, tid=inv_tid,
+                                           committer=committer)
                     self._violate()
                 elif entry.sm_mask & word_mask:
                     # A logically-later commit overwrote our unvalidated
@@ -499,13 +499,9 @@ class TCCProcessor:
         if commit_start is not None:
             wasted += self.engine.now - commit_start
         self.stats.violation_cycles += wasted
-        self.system.tape.record_abort(
-            self.engine.now, self.node, tx, wasted,
-            in_commit_phase=commit_start is not None,
-        )
         if self.event_log is not None:
             self.event_log.log(self.engine.now, "tx_abort", self.node,
-                               tx=tx.tx_id)
+                               tx=tx.tx_id, label=tx.label, wasted=wasted)
         self.hierarchy.abort_speculative()
         self.in_transaction = False
         self._consecutive_violations += 1
@@ -516,7 +512,9 @@ class TCCProcessor:
         ):
             self.retained = True
             self.stats.tid_retentions += 1
-            self.system.tape.record_retention(self.engine.now, self.node, tx)
+            if self.event_log is not None:
+                self.event_log.log(self.engine.now, "retention", self.node,
+                                   tx=tx.tx_id)
         return False
 
     def _record_commit(self, tx: Transaction, commit_start: int) -> None:

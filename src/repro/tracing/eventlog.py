@@ -9,17 +9,16 @@ from typing import Any, Dict, Iterator, List, Optional
 CATEGORIES = (
     "tx_start",      # processor begins a transaction attempt
     "tx_commit",     # attempt committed (fields: tid, tx)
-    "tx_abort",      # attempt violated and rolled back (fields: tx)
-    "violation",     # the invalidation that killed an attempt
+    "tx_abort",      # attempt violated and rolled back (fields: tx, label, wasted)
+    "violation",     # invalidation that violated an attempt (fields: line, tid, committer)
+    "retention",     # attempt crossed the TID-retention threshold (fields: tx)
     "load_miss",     # remote load issued (fields: line, home)
     "load_retry",    # load/invalidate race retry (fields: line)
     "commit_start",  # commit phase entered (fields: tx)
-    "validated",     # commit validated (fields: tid)
     "dir_commit",    # directory finished applying a commit (fields: tid)
     "dir_abort",     # directory gang-cleared marks (fields: tid)
     "writeback",     # directory accepted or dropped a write-back
     "fault",         # injected packet fault (fields: kind, msg, dst)
-    "retry",         # hardened protocol re-sent a request (fields: msg)
     "stale",         # duplicate/stale protocol message ignored
     "watchdog",      # progress watchdog diagnostic (fields: kind, ...)
 )
@@ -80,8 +79,15 @@ class EventLog:
             totals[event.category] = totals.get(event.category, 0) + 1
         return totals
 
+    def dropped_note(self) -> List[str]:
+        """A one-line truncation warning, or nothing if the log is whole."""
+        if not self.dropped:
+            return []
+        return [f"  ({self.dropped:,} events dropped: log full at "
+                f"{self.capacity:,})"]
+
     def render(self, limit: int = 50, **filters: Any) -> str:
         """A plain-text dump of the (filtered) first ``limit`` events."""
         lines = [str(e) for i, e in enumerate(self.select(**filters)) if i < limit]
         suffix = [] if len(lines) < limit else ["  ..."]
-        return "\n".join(lines + suffix)
+        return "\n".join(lines + suffix + self.dropped_note())

@@ -63,4 +63,4 @@ def render_timeline(
     rows = [header]
     for node, lane in enumerate(lanes):
         rows.append(f"P{node:<3}|{''.join(lane)}|")
-    return "\n".join(rows)
+    return "\n".join(rows + log.dropped_note())

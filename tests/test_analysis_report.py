@@ -4,12 +4,13 @@ import pytest
 
 from repro import ScalableTCCSystem, SystemConfig
 from repro.analysis import render_report
+from repro.tracing import tape_report
 from repro.workloads import CounterWorkload, PrivateWorkload
 
 
 @pytest.fixture(scope="module")
 def run():
-    system = ScalableTCCSystem(SystemConfig(n_processors=4))
+    system = ScalableTCCSystem(SystemConfig(n_processors=4, event_log=True))
     result = system.run(
         CounterWorkload(n_counters=2, increments_per_proc=6),
         max_cycles=50_000_000,
@@ -19,7 +20,7 @@ def run():
 
 def test_report_contains_all_sections(run):
     system, result = run
-    text = render_report("counters", result, system.tape.report())
+    text = render_report("counters", result, tape_report(system))
     for heading in (
         "# Simulation report — counters",
         "## Machine",
@@ -83,3 +84,4 @@ def test_cli_report_flag(tmp_path, capsys):
     text = out.read_text()
     assert "# Simulation report — barnes" in text
     assert "## Remote traffic" in text
+    assert "## TAPE profile" in text

@@ -41,6 +41,7 @@ def test_run_with_tape(capsys):
     )
     assert code == 0
     assert "TAPE report" in out
+    assert "committer -> victim pairs" in out
 
 
 def test_run_token_backend(capsys):

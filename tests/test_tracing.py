@@ -3,8 +3,10 @@
 import pytest
 
 from repro import ScalableTCCSystem, SystemConfig
-from repro.tracing import EventLog, render_timeline
-from repro.workloads import CounterWorkload, PrivateWorkload
+from repro.faults import FaultPlan, PacketFault
+from repro.runner.summary import ResultSummary
+from repro.tracing import EventLog, render_timeline, tape_report
+from repro.workloads import CounterWorkload, PrivateWorkload, app_workload
 
 
 class TestEventLogUnit:
@@ -28,6 +30,17 @@ class TestEventLogUnit:
             log.log(i, "tx_start", 0)
         assert len(log) == 3
         assert log.dropped == 7
+
+    def test_every_renderer_reports_dropped_events(self):
+        log = EventLog(capacity=3)
+        for i in range(10):
+            log.log(i, "tx_start", i % 2, tx=i)
+        system = ScalableTCCSystem(SystemConfig(n_processors=2, event_log=True))
+        system.events = log
+        note = "(7 events dropped: log full at 3)"
+        assert log.render().endswith(note)
+        assert render_timeline(log, 2).endswith(note)
+        assert tape_report(system).endswith(note)
 
     def test_counts(self):
         log = EventLog()
@@ -92,6 +105,42 @@ class TestSystemIntegration:
             by_dir.setdefault(event.node, []).append(event.fields["tid"])
         for tids in by_dir.values():
             assert tids == sorted(tids)  # NSTID order at each directory
+
+
+def _dup_drop_plan():
+    return FaultPlan(
+        packet_faults=(PacketFault("dup", 0.05), PacketFault("drop", 0.02)),
+        seed=3,
+    )
+
+
+def _observed_run(event_log, fault_plan=None):
+    system = ScalableTCCSystem(SystemConfig(
+        n_processors=8, event_log=event_log, fault_plan=fault_plan,
+    ))
+    result = system.run(app_workload("volrend", scale=0.3))
+    return system, result
+
+
+def test_every_stale_drop_is_logged():
+    system, result = _observed_run(True, _dup_drop_plan())
+    stale = result.fault_stats.stale_drops
+    assert stale > 0
+    assert system.events.counts()["stale"] == stale
+
+
+@pytest.mark.parametrize("fault_plan", [None, _dup_drop_plan()],
+                         ids=["fault_free", "faulty"])
+def test_event_log_is_bit_inert(fault_plan):
+    plain, logged = (_observed_run(on, fault_plan)[1] for on in (False, True))
+    assert (ResultSummary.from_result(plain).fingerprint()
+            == ResultSummary.from_result(logged).fingerprint())
+    assert plain.memory_image == logged.memory_image
+    commits = [
+        [(r.tid, r.tx.tx_id, r.proc, r.commit_time, r.reads) for r in log]
+        for log in (plain.commit_log, logged.commit_log)
+    ]
+    assert commits[0] == commits[1]
 
 
 class TestTimeline:
