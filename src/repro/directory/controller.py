@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.messages import (
@@ -158,7 +158,6 @@ class DirectoryController:
         # FIFO server state: the queue and the message in service.
         self._inbox: deque[Any] = deque()
         self._busy = False
-        self._msg: Any = None
         self._pending_probes: List[ProbeRequest] = []
         self._stalled_loads: Dict[int, List[LoadRequest]] = defaultdict(list)
         self._pending_forwards: Dict[int, List[LoadRequest]] = defaultdict(list)
@@ -216,7 +215,7 @@ class DirectoryController:
             self._inbox.append(msg)
         else:
             self._busy = True
-            self.engine.schedule_call(0, self._begin, msg)
+            self._start(msg)
 
     @property
     def nstid(self) -> int:
@@ -229,15 +228,11 @@ class DirectoryController:
     def _serve(self) -> Dict[type, Any]:
         """The FIFO server's dispatch table: message type -> handler.
 
-        The engine serves a message in up to three steps: :meth:`_begin`
-        waits out an active ``dir_stall`` window, :meth:`_occupy` holds
-        the directory for ``directory_latency`` plus the directory-cache
-        penalty, and :meth:`_handle` runs the handler and starts the next
-        queued message.  Each timed wait ends with one zero-delay
-        :meth:`_hop`, and each service starts one hop after ``deliver``
-        or the previous handler.  Those are the points where the
-        generator loop this server replaced woke up, so same-cycle ties
-        keep their order and every pinned fingerprint holds.
+        Each message costs one engine event: :meth:`_start` schedules
+        :meth:`_handle` after any active ``dir_stall`` window plus the
+        occupancy (``directory_latency`` and the directory-cache
+        penalty), and :meth:`_handle` runs the handler and starts the
+        next queued message.
         """
         return {
             LoadRequest: self._handle_load,
@@ -251,37 +246,26 @@ class DirectoryController:
             TokenWrite: self._handle_token_write,
         }
 
-    def _begin(self, msg: Any) -> None:
-        self._msg = msg
+    def _start(self, msg: Any) -> None:
+        pause = 0
         injector = self.fault_injector
         if injector is not None and injector.has_dir_stalls:
+            # Node fault: the controller goes dark until the window
+            # ends; queued messages wait it out.
             pause = injector.dir_stall_pause(self.node, self.engine.now)
-            if pause:
-                # Node fault: the controller goes dark until the
-                # window ends; queued messages wait it out.
-                self.engine.schedule_call(pause, self._hop, self._occupy)
-                return
-        self._occupy()
+        service = self.config.directory_latency + self._dir_cache_penalty(msg)
+        self.stats.busy_cycles += service
+        # Scheduled even at zero delay, so a load that
+        # _release_stalled_loads re-delivers never re-enters a handler.
+        self.engine.schedule_call(pause + service, self._handle, msg)
 
-    def _hop(self, step: Callable[[], None]) -> None:
-        self.engine.schedule_call(0, step)
-
-    def _occupy(self) -> None:
-        service = self.config.directory_latency + self._dir_cache_penalty(self._msg)
-        if service:
-            self.stats.busy_cycles += service
-            self.engine.schedule_call(service, self._hop, self._handle)
-        else:
-            self._handle()
-
-    def _handle(self) -> None:
-        msg = self._msg
+    def _handle(self, msg: Any) -> None:
         handler = self._dispatch.get(type(msg))
         if handler is None:
             raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
         handler(msg)
         if self._inbox:
-            self.engine.schedule_call(0, self._begin, self._inbox.popleft())
+            self._start(self._inbox.popleft())
         else:
             self._busy = False
 
@@ -315,11 +299,8 @@ class DirectoryController:
     # outgoing helpers
     # ------------------------------------------------------------------
 
-    def _send(self, dst: int, msg: Any, extra_delay: int = 0) -> None:
-        if extra_delay:
-            self.engine.schedule_call(extra_delay, self._send_later, (dst, msg))
-        else:
-            self.network.send(self.node, dst, msg, msg.payload_bytes, msg.traffic_class)
+    def _send(self, dst: int, msg: Any) -> None:
+        self.network.send(self.node, dst, msg, msg.payload_bytes, msg.traffic_class)
 
     def _send_later(self, dst_msg: tuple) -> None:
         dst, msg = dst_msg
@@ -360,11 +341,12 @@ class DirectoryController:
         entry.sharers.add(msg.requester)
         data = self.memory.read_line(msg.line)
         self.stats.loads_served += 1
-        # Memory access proceeds off the directory's critical path.
-        self._send(
-            msg.requester,
-            LoadReply(msg.line, data, msg.seq),
-            extra_delay=self.config.memory_latency,
+        # Memory access proceeds off the directory's critical path.  The
+        # reply is handed to the network only when the read completes:
+        # sending now would hold this node's egress port meanwhile.
+        self.engine.schedule_call(
+            self.config.memory_latency, self._send_later,
+            (msg.requester, LoadReply(msg.line, data, msg.seq)),
         )
 
     def _handle_writeback(self, msg: WriteBackMsg) -> None:

@@ -2,10 +2,10 @@
 
 The queue is two structures behind one deterministic ordering:
 
-* a plain FIFO for zero-delay work — the majority of scheduling in the
-  TCC model (event fan-out, process wakeups, directory service hops)
-  happens at the current cycle, and a deque append/popleft is far
-  cheaper than a heap push/pop;
+* a plain FIFO for zero-delay work — event fan-out and process wakeups
+  happen at the current cycle (about a fifth of all events in the TCC
+  model), and a deque append/popleft is far cheaper than a heap
+  push/pop;
 * a heapq of ``(cycle, seq, fn, arg)`` for every positive delay.
 
 Execution order is exactly the classic ``(cycle, seq)`` order of a

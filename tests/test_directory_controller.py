@@ -627,3 +627,49 @@ def test_released_load_pays_occupancy_again(rig):
     assert rig.dir.stats.loads_stalled == 1
     assert rig.dir.stats.loads_served == 1
     assert rig.dir.stats.busy_cycles == 4 * latency
+
+
+def _directory_events(rig):
+    """Log ``(cycle, callback)`` for every engine event the directory
+    schedules for itself, at the cycle it will run."""
+    events = []
+    schedule = rig.engine.schedule_call
+
+    def recording_schedule(delay, fn, *args):
+        if getattr(fn, "__self__", None) is rig.dir:
+            events.append((rig.engine.now + delay, fn.__name__))
+        return schedule(delay, fn, *args)
+
+    rig.engine.schedule_call = recording_schedule
+    return events
+
+
+def _probes(*nodes):
+    return [m.ProbeRequest(requester=node, tid=1, writing=False) for node in nodes]
+
+
+@pytest.mark.parametrize("config, stall_until, msgs, handled_at", [
+    pytest.param({}, None, _probes(1),
+                 lambda lat, mem: [5 + lat], id="idle-arrival"),
+    pytest.param({}, None, _probes(3, 1, 2),
+                 lambda lat, mem: [5 + lat, 5 + 2 * lat, 5 + 3 * lat],
+                 id="queued-same-cycle"),
+    pytest.param({}, 20, _probes(1, 2),
+                 lambda lat, mem: [20 + lat, 20 + 2 * lat], id="dir-stall-window"),
+    pytest.param({"directory_cache_entries": 4}, None,
+                 [m.MarkMsg(committer=1, tid=1, lines={5: 0b1})],
+                 lambda lat, mem: [5 + lat + mem], id="dir-cache-miss"),
+])
+def test_each_message_costs_one_engine_event(config, stall_until, msgs, handled_at):
+    rig = Rig(**config)
+    if stall_until is not None:
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, NodeFault
+
+        plan = FaultPlan(node_faults=(NodeFault("dir_stall", 0, 0, stall_until),))
+        rig.dir.fault_injector = FaultInjector(plan, 4)
+    events = _directory_events(rig)
+    _deliver_at(rig, 5, msgs)
+    rig.run()
+    expected = handled_at(rig.config.directory_latency, rig.config.memory_latency)
+    assert events == [(cycle, "_handle") for cycle in expected]
